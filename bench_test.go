@@ -210,20 +210,19 @@ func BenchmarkAgreementAuth(b *testing.B) {
 	}
 }
 
-// BenchmarkStagedPipeline compares the staged agreement pipeline —
-// batched ecalls (WithEcallBatch) plus the enclave-side parallel
-// verification pool (WithVerifyWorkers) — against the paper's baseline
-// one-message-per-ecall dispatcher on the same hardware and cost model.
+// BenchmarkStagedPipeline compares batched ecalls (WithEcallBatch)
+// against the paper's baseline one-message-per-ecall dispatcher on the
+// same hardware and cost model.
 // Besides throughput it reports the achieved ecall amortization
 // (msgs/ecall) and the verification-cache hit rate, so the speedup is
 // measured rather than asserted.
 func BenchmarkStagedPipeline(b *testing.B) {
 	configs := []struct {
-		name           string
-		batch, workers int
+		name  string
+		batch int
 	}{
-		{"Disabled", 0, 0},
-		{"Enabled", 32, 8},
+		{"Disabled", 0},
+		{"Enabled", 32},
 	}
 	results := make(map[string]bench.Result)
 	for _, c := range configs {
@@ -232,13 +231,12 @@ func BenchmarkStagedPipeline(b *testing.B) {
 			var last bench.Result
 			for i := 0; i < b.N; i++ {
 				res, err := bench.Run(bench.RunConfig{
-					System:        bench.SplitKVS,
-					Clients:       40,
-					Batched:       false,
-					Warmup:        200 * time.Millisecond,
-					Measure:       500 * time.Millisecond,
-					EcallBatch:    c.batch,
-					VerifyWorkers: c.workers,
+					System:     bench.SplitKVS,
+					Clients:    40,
+					Batched:    false,
+					Warmup:     200 * time.Millisecond,
+					Measure:    500 * time.Millisecond,
+					EcallBatch: c.batch,
 				})
 				if err != nil {
 					b.Fatal(err)

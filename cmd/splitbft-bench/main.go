@@ -169,16 +169,14 @@ func main() {
 	}
 	if all || *exp == "pipeline" {
 		run("Ablation — staged agreement pipeline", func() error {
-			pts, err := bench.PipelineAblation(
-				[][2]int{{0, 0}, {16, 1}, {16, 8}, {64, 8}}, 40, *measure, *trace)
+			pts, err := bench.PipelineAblation([]int{0, 16, 64}, 40, *measure, *trace)
 			if err != nil {
 				return err
 			}
 			fmt.Print(bench.FormatPipelineAblation(pts))
 			if *trace {
 				for _, p := range pts {
-					fmt.Printf("\nstage latency breakdown @batch=%d,workers=%d (leader's view):\n",
-						p.EcallBatch, p.VerifyWorkers)
+					fmt.Printf("\nstage latency breakdown @batch=%d (leader's view):\n", p.EcallBatch)
 					fmt.Print(bench.FormatStages(p.Result.Stages))
 				}
 			}

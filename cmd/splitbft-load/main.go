@@ -45,7 +45,6 @@ func main() {
 	consensus := flag.String("consensus", "classic", "consensus mode: classic (3f+1) or trusted (counter-backed 2f+1)")
 	batch := flag.Int("batch", 1, "agreement batch size")
 	ecallBatch := flag.Int("ecall-batch", 16, "messages per trusted-boundary crossing (<=1 disables)")
-	verifyWorkers := flag.Int("verify-workers", 1, "parallel verification workers per enclave (<=1 inline)")
 	confidential := flag.Bool("confidential", false, "end-to-end encrypt payloads")
 
 	peers := flag.String("peers", "", "comma-separated replica addresses; empty = in-process cluster")
@@ -59,22 +58,20 @@ func main() {
 	flag.Parse()
 
 	wl := load.Workload{
-		Transport:     "inproc",
-		App:           "kvs",
-		Auth:          *auth,
-		Confidential:  *confidential,
-		BatchSize:     *batch,
-		EcallBatch:    *ecallBatch,
-		VerifyWorkers: *verifyWorkers,
-		ReadFrac:      *readFrac,
-		ReadLeases:    *readLeases,
+		Transport:    "inproc",
+		App:          "kvs",
+		Auth:         *auth,
+		Confidential: *confidential,
+		BatchSize:    *batch,
+		EcallBatch:   *ecallBatch,
+		ReadFrac:     *readFrac,
+		ReadLeases:   *readLeases,
 	}
 	opts := []splitbft.Option{
 		splitbft.WithKVStore(),
 		splitbft.WithAgreementAuth(*auth),
 		splitbft.WithBatchSize(*batch),
 		splitbft.WithEcallBatch(*ecallBatch),
-		splitbft.WithVerifyWorkers(*verifyWorkers),
 		splitbft.WithReadLeases(*readLeases),
 		splitbft.WithReadConsistency(*readConsistency),
 	}

@@ -45,10 +45,10 @@
 //
 // # The staged agreement pipeline
 //
-// Each replica's hot path is a four-stage pipeline between the untrusted
+// Each replica's hot path is a three-stage pipeline between the untrusted
 // broker and its three enclaves:
 //
-//	classify → batch ecall → parallel verify → serial apply
+//	classify → batch ecall → serial apply
 //
 // Classify runs on the transport threads, in the untrusted environment:
 // every inbound message is fully decoded there — malformed input never
@@ -65,18 +65,13 @@
 // to n queued messages and delivers them through one trusted-boundary
 // crossing.
 //
-// Parallel verify runs inside the enclave: with WithVerifyWorkers(n), the
-// stateless share of validation — decoding plus Ed25519 signature checks,
-// which are independent across distinct messages — fans out to a bounded
-// worker pool, warming a per-compartment verification cache that also
-// makes retransmits and view-change replays (the same certificates
-// verified over and over) nearly free.
-//
 // Serial apply preserves the paper's execution model: handlers run to
 // completion one at a time in submission order on the enclave's single
-// logical protocol thread, so every ledger and checkpoint digest is
-// byte-identical whether the pipeline is on, off, or fully serialized with
-// WithSingleThread.
+// thread, signature checks included, so every ledger and checkpoint
+// digest is byte-identical whether the pipeline is on, off, or fully
+// serialized with WithSingleThread. A per-compartment verification cache
+// makes retransmits and view-change replays (the same certificates
+// verified over and over) nearly free.
 //
 // # Agreement authentication: signatures vs the MAC fast path
 //
@@ -191,8 +186,8 @@
 // beyond one TTL, while the majority side must wait out that TTL before
 // electing a new primary whose writes could go unseen — enforced by the
 // new primary's write fence (2.5×TTL after installing its view, parked
-// batches flush when it lifts). WithLeaseTTL is clamped to
-// RequestTimeout/4 so fence plus TTL fit inside one failure-detection
+// batches flush when it lifts). The TTL is RequestTimeout/4 (see
+// WithRequestTimeout) so fence plus TTL fit inside one failure-detection
 // period. Expiry is counter-anchored and holders refuse inside a
 // clock-skew guard margin of TTL/8 before expiry, so bounded skew
 // between granter and holder cannot stretch a lease past its revocation
@@ -293,7 +288,7 @@
 // exactly the evidence the untrusted environment can see anyway —
 // requests classified, batches entering the Preparation ecall, the
 // replica's own PrePrepares and Commits leaving, replies going out.
-// Request lifecycles become sampled spans over the write chain
+// Request lifecycles become spans over the write chain
 // (classify → enqueue → preprepare → prepare-cert → commit → execute →
 // reply) and the leased-read chain (arrive → read-index → serve);
 // Node.Metrics, Node.StageLatencies and Node.MetricsAddr are the

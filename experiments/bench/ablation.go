@@ -72,32 +72,30 @@ func BatchSizeAblation(sizes []int, clients int, measure time.Duration) ([]Batch
 
 // PipelinePoint is one measurement of the staged-pipeline ablation.
 type PipelinePoint struct {
-	EcallBatch    int
-	VerifyWorkers int
-	Result        Result
+	EcallBatch int
+	Result     Result
 }
 
-// PipelineAblation measures the staged agreement pipeline — batched ecalls
-// plus the parallel verification pool — against the paper's baseline
-// dispatcher on the SplitBFT KVS. Both points run the identical protocol
-// on the same hardware; only the untrusted scheduling and the intra-batch
-// verification parallelism differ.
-func PipelineAblation(configs [][2]int, clients int, measure time.Duration, trace bool) ([]PipelinePoint, error) {
-	out := make([]PipelinePoint, 0, len(configs))
-	for _, c := range configs {
+// PipelineAblation sweeps the ecall batch — how many queued messages one
+// trusted-boundary crossing delivers — against the paper's baseline
+// dispatcher (0: one message per ecall) on the SplitBFT KVS. Every point
+// runs the identical protocol on the same hardware; only the untrusted
+// scheduling differs.
+func PipelineAblation(ecallBatches []int, clients int, measure time.Duration, trace bool) ([]PipelinePoint, error) {
+	out := make([]PipelinePoint, 0, len(ecallBatches))
+	for _, b := range ecallBatches {
 		res, err := Run(RunConfig{
-			System:        SplitKVS,
-			Clients:       clients,
-			Batched:       false,
-			Measure:       measure,
-			EcallBatch:    c[0],
-			VerifyWorkers: c[1],
-			Trace:         trace,
+			System:     SplitKVS,
+			Clients:    clients,
+			Batched:    false,
+			Measure:    measure,
+			EcallBatch: b,
+			Trace:      trace,
 		})
 		if err != nil {
-			return out, fmt.Errorf("pipeline ablation @batch=%d,workers=%d: %w", c[0], c[1], err)
+			return out, fmt.Errorf("pipeline ablation @batch=%d: %w", b, err)
 		}
-		out = append(out, PipelinePoint{EcallBatch: c[0], VerifyWorkers: c[1], Result: res})
+		out = append(out, PipelinePoint{EcallBatch: b, Result: res})
 	}
 	return out, nil
 }
@@ -261,12 +259,12 @@ func FormatAuthAblation(points []AuthPoint) string {
 func FormatPipelineAblation(points []PipelinePoint) string {
 	var sb strings.Builder
 	sb.WriteString("Ablation — staged agreement pipeline (SplitBFT KVS, unbatched)\n\n")
-	fmt.Fprintf(&sb, "%-12s %-14s %12s %14s %14s %12s\n",
-		"Ecall batch", "Verify workers", "ops/s", "mean latency", "msgs/ecall", "cache hits")
-	sb.WriteString(strings.Repeat("-", 84) + "\n")
+	fmt.Fprintf(&sb, "%-12s %12s %14s %14s %12s\n",
+		"Ecall batch", "ops/s", "mean latency", "msgs/ecall", "cache hits")
+	sb.WriteString(strings.Repeat("-", 69) + "\n")
 	for _, p := range points {
-		fmt.Fprintf(&sb, "%-12d %-14d %12.0f %14v %14.2f %11.0f%%\n",
-			p.EcallBatch, p.VerifyWorkers, p.Result.Throughput,
+		fmt.Fprintf(&sb, "%-12d %12.0f %14v %14.2f %11.0f%%\n",
+			p.EcallBatch, p.Result.Throughput,
 			p.Result.MeanLat.Round(time.Microsecond),
 			p.Result.MsgsPerEcall, 100*p.Result.VerifyCacheHitRate)
 	}

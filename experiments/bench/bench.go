@@ -80,11 +80,10 @@ type RunConfig struct {
 	// BatchSizeOverride replaces the batched-mode batch size of 200
 	// (ablations only; 0 keeps the default).
 	BatchSizeOverride int
-	// EcallBatch and VerifyWorkers enable the staged agreement pipeline on
-	// SplitBFT systems (WithEcallBatch / WithVerifyWorkers); 0 leaves the
-	// paper's one-message-per-ecall, inline-verification behavior.
-	EcallBatch    int
-	VerifyWorkers int
+	// EcallBatch enables batched ecalls on SplitBFT systems
+	// (WithEcallBatch); 0 leaves the paper's one-message-per-ecall
+	// behavior.
+	EcallBatch int
 	// AgreementAuth selects the replica-to-replica authentication mode on
 	// SplitBFT systems ("sig" or "mac"; "" keeps the sig default) — the
 	// MAC-authenticated fast path of the auth ablation.
@@ -154,11 +153,9 @@ type Result struct {
 	// across all compartments (1.0 with batching off; 0 for the baseline).
 	MsgsPerEcall float64
 	// VerifyCacheHitRate is the leader's signature-verification cache hit
-	// rate during the measure window (0 for the baseline). Note the
-	// semantics differ by configuration: with the pipeline off, hits are
-	// genuine retransmits/replays; with VerifyWorkers on, the serial
-	// handler consuming the parallel warm pass also counts, so enabled
-	// configurations read ~50% by construction.
+	// rate during the measure window (0 for the baseline): the share of
+	// signature checks that were retransmits or view-change replays of an
+	// already verified message.
 	VerifyCacheHitRate float64
 	// Errors counts failed invocations during the measure window.
 	Errors uint64

@@ -95,9 +95,6 @@ func startSplitCluster(cfg RunConfig, batchSize int, batchTimeout, requestTimeou
 	if cfg.EcallBatch > 0 {
 		opts = append(opts, splitbft.WithEcallBatch(cfg.EcallBatch))
 	}
-	if cfg.VerifyWorkers > 0 {
-		opts = append(opts, splitbft.WithVerifyWorkers(cfg.VerifyWorkers))
-	}
 	if cfg.AgreementAuth != "" {
 		opts = append(opts, splitbft.WithAgreementAuth(cfg.AgreementAuth))
 	}

@@ -102,7 +102,6 @@ func runReadLeasePoint(cfg ReadLeaseConfig, leases bool) (ReadLeasePoint, error)
 		splitbft.WithKVStore(),
 		splitbft.WithBatchSize(1),
 		splitbft.WithEcallBatch(16),
-		splitbft.WithVerifyWorkers(1),
 		splitbft.WithReadLeases(leases),
 	}
 	if cfg.Trace {
@@ -152,14 +151,13 @@ func runReadLeasePoint(cfg ReadLeaseConfig, leases bool) (ReadLeasePoint, error)
 		return ReadLeasePoint{}, err
 	}
 	wl := Workload{
-		Transport:     "inproc",
-		App:           "kvs",
-		Auth:          "sig",
-		BatchSize:     1,
-		EcallBatch:    16,
-		VerifyWorkers: 1,
-		ReadFrac:      cfg.ReadFrac,
-		ReadLeases:    leases,
+		Transport:  "inproc",
+		App:        "kvs",
+		Auth:       "sig",
+		BatchSize:  1,
+		EcallBatch: 16,
+		ReadFrac:   cfg.ReadFrac,
+		ReadLeases: leases,
 	}
 	pt := ReadLeasePoint{Leases: leases, Result: NewResult(lcfg, st, wl)}
 	for _, n := range cluster.Nodes() {

@@ -30,13 +30,12 @@ type LatencySummary struct {
 // Workload echoes the system configuration a run measured, so a trajectory
 // point is only ever compared against its like.
 type Workload struct {
-	Transport     string `json:"transport"` // "inproc" | "tcp"
-	App           string `json:"app"`
-	Auth          string `json:"auth"`
-	Confidential  bool   `json:"confidential"`
-	BatchSize     int    `json:"batch_size"`
-	EcallBatch    int    `json:"ecall_batch"`
-	VerifyWorkers int    `json:"verify_workers"`
+	Transport    string `json:"transport"` // "inproc" | "tcp"
+	App          string `json:"app"`
+	Auth         string `json:"auth"`
+	Confidential bool   `json:"confidential"`
+	BatchSize    int    `json:"batch_size"`
+	EcallBatch   int    `json:"ecall_batch"`
 	// Consensus is "trusted" for the counter-backed 2f+1 mode and empty
 	// for classic — omitted from the JSON so trajectory points committed
 	// before the mode existed keep comparing equal to fresh classic runs.

@@ -117,11 +117,12 @@ type Component struct {
 
 // TCBComponents maps this repository onto the paper's Table 2 rows.
 //
-// "Shared types" are the packages linked into every enclave (message
-// definitions, codec, crypto); the per-enclave logic is each compartment's
-// source file plus the shared compartment state; the untrusted environment
-// is the broker, transport, and client plumbing; the trusted counter is the
-// hybrid-BFT comparison subsystem.
+// "Shared types" are the code linked into every enclave: message
+// definitions, codec, crypto, the compartments' durable-state and clock
+// code, and the enclave runtime with its attestation. The per-enclave
+// logic is each compartment's source file plus the shared compartment
+// state; the untrusted environment is the broker, transport, and client
+// plumbing; the trusted counter is the hybrid-BFT comparison subsystem.
 func TCBComponents() []Component {
 	shared := []string{
 		"internal/messages/codec.go",
@@ -135,6 +136,10 @@ func TCBComponents() []Component {
 		"internal/crypto/session.go",
 		"internal/core/comstate.go",
 		"internal/core/config.go",
+		"internal/core/persist.go",
+		"internal/core/clock.go",
+		"internal/tee/enclave.go",
+		"internal/tee/attest.go",
 	}
 	return []Component{
 		{Name: "Preparation Enc.", Files: append([]string{"internal/core/preparation.go"}, shared...)},

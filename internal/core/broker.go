@@ -307,8 +307,8 @@ type reqKey struct {
 // the transport threads, so garbage and retransmits never pay for an
 // enclave crossing) → batch ecall (dispatchers drain their queues and
 // deliver up to EcallBatch messages per trusted-boundary crossing) →
-// parallel verify (the enclave fans signature checks out to its worker
-// pool) → serial apply (handlers run one at a time in submission order).
+// serial apply (handlers, signature checks included, run one at a time in
+// submission order).
 type broker struct {
 	cfg  Config
 	conn transport.Conn
@@ -481,17 +481,11 @@ func (b *broker) dispatch(q *queue) {
 				// enclave sees it, so replay covers everything delivered.
 				cs.persistRun(run)
 			}
-			var out []tee.OutMsg
-			var err error
-			if len(run) == 1 {
-				out, err = enc.Invoke(run[0].payload)
-			} else {
-				payloads = payloads[:0]
-				for k := range run {
-					payloads = append(payloads, run[k].payload)
-				}
-				out, err = enc.InvokeBatch(payloads)
+			payloads = payloads[:0]
+			for k := range run {
+				payloads = append(payloads, run[k].payload)
 			}
+			out, err := enc.InvokeBatch(payloads)
 			for k := range run {
 				run[k].release() // payloads were copied into the enclave
 			}

@@ -182,41 +182,6 @@ func (s *comState) applyNewViewCheckpoint(nv *messages.NewView) bool {
 	return advanced
 }
 
-// prevalidate is the parallel-verify stage of the staged pipeline: the
-// stateless share of message validation — decoding plus signature
-// verification — run ahead of the serial handler pass to warm the
-// compartment verifier's cache. The handlers then re-validate through the
-// cache and skip the Ed25519 work.
-//
-// It upholds the tee.Preprocessor contract: no compartment state is
-// touched (the Verifier is immutable and its cache is concurrency-safe),
-// and skipping it entirely changes no handler outcome — which is what
-// keeps the parallel stage deterministic.
-func prevalidate(ver *messages.Verifier, raw []byte) {
-	if len(raw) < 2 || raw[0] != ecallMessage {
-		return
-	}
-	m, err := messages.Unmarshal(raw[1:])
-	if err != nil {
-		return
-	}
-	switch msg := m.(type) {
-	case *messages.PrePrepare:
-		_ = ver.VerifyPrePrepare(msg, false)
-	case *messages.Prepare:
-		_ = ver.VerifyPrepare(msg)
-	case *messages.Commit:
-		_ = ver.VerifyCommit(msg)
-	case *messages.Checkpoint:
-		_ = ver.VerifyCheckpoint(msg)
-	case *messages.ViewChange:
-		// Warms every certificate signature the view change carries.
-		_ = ver.VerifyViewChange(msg)
-	case *messages.NewView:
-		_ = ver.VerifyNewView(msg)
-	}
-}
-
 // localOut builds a DestLocal output message to another compartment on the
 // same replica.
 func localOut(role crypto.Role, m messages.Message) tee.OutMsg {

@@ -97,12 +97,6 @@ type Config struct {
 	// many messages per transition, amortizing the per-transition cost.
 	// 0 or 1 delivers one message per crossing (the paper's baseline).
 	EcallBatch int
-	// VerifyWorkers bounds the enclave-side pool that signature
-	// verifications of a batch are fanned out to before the serial handler
-	// pass. 0 or 1 verifies inline on the protocol thread. Parallelism
-	// never reorders state updates: handlers always apply serially in
-	// submission order.
-	VerifyWorkers int
 
 	// DataDir enables the sealed durability subsystem: each compartment
 	// keeps a write-ahead log of its delivered ecalls plus sealed state
@@ -180,9 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EcallBatch < 1 {
 		c.EcallBatch = 1
-	}
-	if c.VerifyWorkers < 1 {
-		c.VerifyWorkers = 1
 	}
 	// Default and clamp: a lease must never outlive view-change detection
 	// (the failure detector suspects after one RequestTimeout), or a

@@ -58,9 +58,6 @@ func newConfirmation(cfg Config, ver *messages.Verifier) *confirmation {
 // Measurement implements tee.Code.
 func (c *confirmation) Measurement() crypto.Digest { return measConfirmation }
 
-// Preprocess implements tee.Preprocessor (see preparation.Preprocess).
-func (c *confirmation) Preprocess(_ tee.Host, raw []byte) { prevalidate(c.ver, raw) }
-
 // HandleECall implements tee.Code.
 func (c *confirmation) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	if len(raw) == 0 || raw[0] != ecallMessage {

@@ -313,9 +313,6 @@ func (e *execution) restoreState(snap []byte) error {
 // Measurement implements tee.Code.
 func (e *execution) Measurement() crypto.Digest { return measExecution }
 
-// Preprocess implements tee.Preprocessor (see preparation.Preprocess).
-func (e *execution) Preprocess(_ tee.Host, raw []byte) { prevalidate(e.ver, raw) }
-
 // HandleECall implements tee.Code.
 func (e *execution) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	if len(raw) == 1 && raw[0] == ecallTick {

@@ -92,11 +92,6 @@ func newPreparation(cfg Config, ver *messages.Verifier, counter *tee.TrustedCoun
 // Measurement implements tee.Code.
 func (p *preparation) Measurement() crypto.Digest { return measPreparation }
 
-// Preprocess implements tee.Preprocessor: signature verification for a
-// batched ecall runs on the worker pool, warming the verify cache the
-// serial handlers then hit.
-func (p *preparation) Preprocess(_ tee.Host, raw []byte) { prevalidate(p.ver, raw) }
-
 // HandleECall implements tee.Code.
 func (p *preparation) HandleECall(host tee.Host, raw []byte) []tee.OutMsg {
 	if len(raw) == 0 {

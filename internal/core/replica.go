@@ -35,7 +35,7 @@ type Replica struct {
 	broker *broker
 	// caches are the per-compartment verification caches, for stats. Each
 	// compartment owns its own cache — compartments share no state (§3.2),
-	// so a cache is enclave-local, warmed by that enclave's verify pool.
+	// so a cache is enclave-local, written only by that enclave's handlers.
 	caches []*messages.VerifyCache
 	// vers are the per-compartment verifiers, kept for crypto-op stats.
 	vers []*messages.Verifier
@@ -146,11 +146,6 @@ func NewReplica(cfg Config) (*Replica, error) {
 	for _, enc := range []*tee.Enclave{prep, conf, exec} {
 		cfg.Registry.Register(enc.Identity(), enc.PublicKey())
 		cfg.Registry.RegisterECDH(enc.Identity(), enc.ECDHPublicKey())
-	}
-
-	// Enable the enclave-side parallel verification stage of the pipeline.
-	for _, enc := range []*tee.Enclave{prep, conf, exec} {
-		enc.SetVerifyWorkers(cfg.VerifyWorkers)
 	}
 
 	if cfg.AgreementAuth == messages.AuthMAC {

@@ -79,8 +79,8 @@ type Verifier struct {
 
 	// Crypto-op accounting for the auth ablation: how many Ed25519
 	// verifications actually ran (cache hits excluded), the wall time they
-	// took, and how many agreement-MAC verifications ran. Atomic — the
-	// verify worker pool calls concurrently.
+	// took, and how many agreement-MAC verifications ran. Atomic — stats
+	// are read from outside the verifying thread.
 	sigOps   atomic.Uint64
 	sigNanos atomic.Int64
 	macOps   atomic.Uint64

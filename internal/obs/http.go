@@ -18,10 +18,9 @@ type Observer struct {
 	Tracer *Tracer
 }
 
-// NewObserver builds a registry plus a tracer recording every
-// traceSample-th request.
-func NewObserver(traceSample int) *Observer {
-	return &Observer{Reg: NewRegistry(), Tracer: NewTracer(traceSample)}
+// NewObserver builds a registry plus a tracer recording every request.
+func NewObserver() *Observer {
+	return &Observer{Reg: NewRegistry(), Tracer: NewTracer(1)}
 }
 
 // Registry returns the metrics registry, nil on a nil observer.

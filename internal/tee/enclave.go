@@ -8,9 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/splitbft/splitbft/internal/crypto"
 	"github.com/splitbft/splitbft/internal/messages"
@@ -82,22 +80,6 @@ type Code interface {
 	HandleECall(host Host, msg []byte) []OutMsg
 }
 
-// Preprocessor is optionally implemented by enclave Code that can do
-// stateless per-message work — decoding and signature verification — ahead
-// of the serial handler pass. When the enclave's verify-worker pool is
-// enabled, InvokeBatch fans Preprocess out across the batch before running
-// HandleECall on each message in order.
-//
-// Contract: Preprocess must not mutate handler state; it may only warm
-// caches that are themselves safe for concurrent use (e.g. a
-// signature-verification cache). Calls may run concurrently with each
-// other, never with HandleECall. Skipping Preprocess entirely must not
-// change any HandleECall outcome — it is purely an accelerator, which is
-// what keeps the parallel pipeline deterministic.
-type Preprocessor interface {
-	Preprocess(host Host, msg []byte)
-}
-
 // ErrNoOcall is returned by Host.Ocall for unregistered ocall names.
 var ErrNoOcall = errors.New("tee: unregistered ocall")
 
@@ -137,11 +119,6 @@ type Enclave struct {
 	counters sync.Map // string -> *counterCell
 	ocallsMu sync.RWMutex
 	ocalls   map[string]OcallFunc
-
-	// verifyWorkers bounds the preprocessing pool InvokeBatch fans
-	// Preprocess calls out to; <= 1 disables preprocessing (the serial
-	// handler verifies inline, exactly as single-message Invoke does).
-	verifyWorkers int
 }
 
 type counterCell struct {
@@ -432,45 +409,17 @@ func (e *Enclave) Crashed() bool {
 	return e.crashed
 }
 
-// SetVerifyWorkers bounds the enclave-side preprocessing pool used by
-// InvokeBatch (n <= 1 disables it). It is part of enclave setup, before
-// traffic flows.
-func (e *Enclave) SetVerifyWorkers(n int) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	e.verifyWorkers = n
-}
-
-// Invoke performs one ecall: it serializes the caller behind the enclave's
-// single execution thread, charges the transition and copy costs, runs the
-// handler, and charges copy-out for the results. The returned messages'
-// payloads are fresh copies owned by the caller.
+// Invoke performs one ecall: InvokeBatch with a single message.
 func (e *Enclave) Invoke(msg []byte) ([]OutMsg, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	if e.crashed {
-		return nil, ErrCrashed
-	}
-	stop := e.stats.start(1)
-	e.cost.chargeTransition()
-	e.cost.chargeCopy(len(msg))
-	out := e.code.HandleECall(e, copyBytes(msg))
-	for i := range out {
-		e.cost.chargeCopy(len(out[i].Payload))
-	}
-	stop()
-	return out, nil
+	return e.InvokeBatch([][]byte{msg})
 }
 
-// InvokeBatch delivers many queued ecalls in one trusted-boundary
-// crossing: a single transition is charged for the whole batch (the
-// HotCalls-style amortization SplitBFT's evaluation identifies as the
-// dominant cost lever), every message still pays its copy-in, and the
-// handler runs once per message in submission order on the enclave's
-// single logical protocol thread. When the code implements Preprocessor
-// and a verify-worker pool is configured, the stateless share of the work
-// (decode + signature verification) is fanned out across the batch first;
-// state updates remain strictly serial, so ordering stays deterministic.
+// InvokeBatch delivers queued ecalls in one trusted-boundary crossing: it
+// serializes the caller behind the enclave's single execution thread and
+// charges a single transition for the whole batch (the HotCalls-style
+// amortization SplitBFT's evaluation identifies as the dominant cost
+// lever). Every message still pays its copy-in, and the handler runs once
+// per message in submission order; every output pays its copy-out.
 //
 // Outputs are returned concatenated in handler order. The returned
 // payloads are fresh copies; the input buffers are not retained, so
@@ -486,65 +435,23 @@ func (e *Enclave) InvokeBatch(msgs [][]byte) ([]OutMsg, error) {
 	}
 	stop := e.stats.start(len(msgs))
 	e.cost.chargeTransition()
-	inside := make([][]byte, len(msgs))
-	for i, m := range msgs {
-		e.cost.chargeCopy(len(m))
-		inside[i] = copyBytes(m)
-	}
-	e.preprocess(inside)
 	var out []OutMsg
-	for _, m := range inside {
-		out = append(out, e.code.HandleECall(e, m)...)
+	for _, m := range msgs {
+		e.cost.chargeCopy(len(m))
+		res := e.code.HandleECall(e, copyBytes(m))
+		if out == nil {
+			// Capped so a later append reallocates instead of writing
+			// into spare capacity the handler may still own.
+			out = res[:len(res):len(res)]
+		} else {
+			out = append(out, res...)
+		}
 	}
 	for i := range out {
 		e.cost.chargeCopy(len(out[i].Payload))
 	}
 	stop()
 	return out, nil
-}
-
-// preprocess fans the stateless per-message work out to a bounded set of
-// workers. It runs under execMu, so workers never race with HandleECall.
-// Workers are spawned per batch rather than kept in a persistent pool:
-// enclaves have no teardown API, so long-lived workers would leak a
-// goroutine set per enclave (benchmarks build clusters by the dozen), and
-// the spawn cost (~1µs each) is noise against the ≥58µs Ed25519 verify
-// every batched message carries. The worker count is clamped to the CPUs
-// actually available: preprocessing re-does decode work the serial
-// handler will repeat, which is a win only when real parallelism hides
-// it — on a single-core host it would just be overhead, so it is skipped
-// and the handler verifies inline.
-func (e *Enclave) preprocess(msgs [][]byte) {
-	pre, ok := e.code.(Preprocessor)
-	if !ok || e.verifyWorkers <= 1 || len(msgs) < 2 {
-		return
-	}
-	workers := e.verifyWorkers
-	if nc := runtime.GOMAXPROCS(0); workers > nc {
-		workers = nc
-	}
-	if workers > len(msgs) {
-		workers = len(msgs)
-	}
-	if workers <= 1 {
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(msgs) {
-					return
-				}
-				pre.Preprocess(e, msgs[i])
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // Stats returns a snapshot of the enclave's ecall statistics.

@@ -5,7 +5,6 @@ import (
 	"crypto/ecdh"
 	"crypto/rand"
 	"errors"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -82,15 +81,28 @@ func (c *captureCode) HandleECall(_ Host, msg []byte) []OutMsg {
 }
 
 func TestEnclaveSingleThreaded(t *testing.T) {
-	// Concurrent Invokes must serialize: max in-flight == 1.
+	// Concurrent Invokes and InvokeBatches must serialize: max in-flight
+	// handlers == 1. Odd goroutines deliver batches of 2–4 messages.
 	code := &concurrencyProbe{}
 	e := newTestEnclave(t, code)
 	var wg sync.WaitGroup
+	var msgs uint64
 	for i := 0; i < 16; i++ {
+		batch := 1
+		if i%2 == 1 {
+			batch = 2 + i%3
+		}
+		msgs += uint64(batch)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := e.Invoke([]byte("x")); err != nil {
+			var err error
+			if batch == 1 {
+				_, err = e.Invoke([]byte("x"))
+			} else {
+				_, err = e.InvokeBatch(bytes.Split(bytes.Repeat([]byte("x"), batch), nil))
+			}
+			if err != nil {
 				t.Error(err)
 			}
 		}()
@@ -99,8 +111,8 @@ func TestEnclaveSingleThreaded(t *testing.T) {
 	if code.maxSeen > 1 {
 		t.Fatalf("enclave ran %d handlers concurrently, want 1", code.maxSeen)
 	}
-	if e.Stats().Count != 16 {
-		t.Fatalf("count = %d, want 16", e.Stats().Count)
+	if s := e.Stats(); s.Count != 16 || s.Msgs != msgs {
+		t.Fatalf("stats = %+v, want 16 crossings carrying %d messages", s, msgs)
 	}
 }
 
@@ -360,37 +372,22 @@ func BenchmarkEcallRoundTripSimulation(b *testing.B) {
 	}
 }
 
-// orderCode records the order messages reach the serial handler and which
-// goroutine-visible preprocessing happened, for InvokeBatch tests.
+// orderCode records the order messages reach the serial handler, for
+// InvokeBatch tests.
 type orderCode struct {
-	mu      sync.Mutex
 	handled [][]byte
-	pre     [][]byte
 }
 
 func (c *orderCode) Measurement() crypto.Digest { return crypto.Digest{} }
 
 func (c *orderCode) HandleECall(_ Host, msg []byte) []OutMsg {
-	c.mu.Lock()
 	c.handled = append(c.handled, msg)
-	c.mu.Unlock()
 	return []OutMsg{{Kind: DestBroadcast, Payload: msg}}
 }
 
-func (c *orderCode) Preprocess(_ Host, msg []byte) {
-	c.mu.Lock()
-	c.pre = append(c.pre, msg)
-	c.mu.Unlock()
-}
-
 func TestInvokeBatchOrderAndOutputs(t *testing.T) {
-	// The pool clamps to GOMAXPROCS (preprocessing is skipped without real
-	// parallelism); raise it so the parallel path runs even on small CI
-	// hosts — concurrency works fine with fewer physical cores.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	code := &orderCode{}
 	e := newTestEnclave(t, code)
-	e.SetVerifyWorkers(4)
 	msgs := [][]byte{[]byte("a"), []byte("b"), []byte("c"), []byte("d"), []byte("e")}
 	out, err := e.InvokeBatch(msgs)
 	if err != nil {
@@ -399,15 +396,30 @@ func TestInvokeBatchOrderAndOutputs(t *testing.T) {
 	if len(out) != len(msgs) {
 		t.Fatalf("outputs = %d, want %d", len(out), len(msgs))
 	}
-	// Handlers ran serially in submission order regardless of the parallel
-	// preprocessing pool: outputs and the handled log are both ordered.
+	// Handlers ran serially in submission order: outputs and the handled
+	// log are both ordered.
 	for i, m := range msgs {
 		if !bytes.Equal(out[i].Payload, m) || !bytes.Equal(code.handled[i], m) {
 			t.Fatalf("order broken at %d: out=%q handled=%q", i, out[i].Payload, code.handled[i])
 		}
 	}
-	if len(code.pre) != len(msgs) {
-		t.Fatalf("preprocessed %d messages, want %d", len(code.pre), len(msgs))
+}
+
+func TestInvokeAllocatesOnlyTheCopyIn(t *testing.T) {
+	// A single-message ecall — Invoke, or an InvokeBatch of one as the
+	// dispatcher issues it — allocates nothing beyond the enclave's copy
+	// of the input, the path every unbatched message takes.
+	var captured []byte
+	e := newTestEnclave(t, &captureCode{capture: &captured})
+	msg := []byte("m")
+	batch := [][]byte{msg}
+	for name, call := range map[string]func(){
+		"Invoke":      func() { _, _ = e.Invoke(msg) },
+		"InvokeBatch": func() { _, _ = e.InvokeBatch(batch) },
+	} {
+		if n := testing.AllocsPerRun(100, call); n != 1 {
+			t.Errorf("%s: %v allocations per call, want 1 (the copy-in)", name, n)
+		}
 	}
 }
 

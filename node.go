@@ -69,10 +69,7 @@ func (s EnclaveStat) MsgsPerEcall() float64 {
 // VerifyCacheStats reports how effective a node's signature-verification
 // caches are: hits are signature checks whose Ed25519 cost was skipped
 // because an identical (message, signature, signer) triple had already
-// verified. With the pipeline off, hits come from retransmits and
-// view-change replays; with WithVerifyWorkers on, they additionally count
-// the serial handler pass consuming the parallel workers' warm pass, so a
-// pipelined node reads ~50% even without any retransmission.
+// verified — retransmits and view-change replays.
 type VerifyCacheStats struct {
 	Hits   uint64
 	Misses uint64
@@ -126,7 +123,7 @@ func NewNode(id uint32, opts ...Option) (*Node, error) {
 	}
 	n := &Node{id: id, opts: o, reg: reg, clock: new(core.SkewClock), disk: new(store.FaultInjector)}
 	if o.obsOn {
-		n.observer = obs.NewObserver(o.traceSample)
+		n.observer = obs.NewObserver()
 	}
 	if err := n.buildReplica(); err != nil {
 		return nil, err
@@ -164,14 +161,12 @@ func (n *Node) buildReplica() error {
 		Cost:               o.costModel(),
 		SingleThread:       o.singleThread,
 		EcallBatch:         o.ecallBatch,
-		VerifyWorkers:      o.verifyWorkers,
 		DataDir:            o.nodeDataDir(n.id),
 		CheckpointInterval: o.checkpointInterval,
 		BatchSize:          o.batchSize,
 		BatchTimeout:       o.batchTimeout,
 		RequestTimeout:     o.requestTimeout,
 		ReadLeases:         o.readLeases,
-		LeaseTTL:           o.leaseTTL,
 		Obs:                n.observer,
 		Clock:              n.clock,
 		DiskFaults:         n.disk,

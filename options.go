@@ -52,14 +52,12 @@ type options struct {
 	singleThread bool
 
 	ecallBatch    int
-	verifyWorkers int
 	agreementAuth string
 	consensusMode string
 	commitRule    string
 
 	readLeases      bool
 	readConsistency string
-	leaseTTL        time.Duration
 
 	batchSize          int
 	batchTimeout       time.Duration
@@ -72,7 +70,6 @@ type options struct {
 
 	obsOn       bool
 	metricsAddr string
-	traceSample int
 
 	tcpAddrs   []string
 	listenAddr string
@@ -247,16 +244,6 @@ func WithEcallBatch(n int) Option {
 	return func(o *options) { o.ecallBatch = n }
 }
 
-// WithVerifyWorkers fans the signature verifications of a batched ecall
-// out to a pool of n workers inside each enclave before the serial handler
-// pass (verifications of distinct messages are independent). Handler state
-// updates stay on the single protocol thread, so ordering — and therefore
-// every ledger and checkpoint digest — remains deterministic. n <= 1 (the
-// default) verifies inline. Effective only together with WithEcallBatch.
-func WithVerifyWorkers(n int) Option {
-	return func(o *options) { o.verifyWorkers = n }
-}
-
 // WithAgreementAuth selects how replicas authenticate normal-case
 // agreement traffic (PrePrepare/Prepare/Commit/Checkpoint) to each other:
 //
@@ -376,15 +363,20 @@ func (o *options) replyQuorum() (int, error) {
 //     refuses and the client transparently re-issues the read through the
 //     agreement path, so reads are never stale — at worst slower.
 //
+// A lease is valid for a quarter of the request timeout
+// (WithRequestTimeout) from its grant: it must never outlive failure
+// detection. It renews at a quarter of that TTL, and holders stop serving
+// a clock-skew margin of an eighth of it before expiry.
+//
 // Leases are anchored in the same trusted counter that orders proposals
 // (and revoked by view changes: a new primary additionally fences writes
 // for 2.5× the lease TTL so no old-view lease can miss a new-view write),
 // so the fast path leans on the compartment trust model exactly as the
-// trusted consensus mode does. Cross-view safety assumes bounded clock
-// skew between replicas (see WithLeaseTTL); within a view the read index
-// makes no timing assumption. It works in either consensus mode. All
-// nodes of a deployment must agree on the setting. See the README
-// read-path section for the soundness argument.
+// trusted consensus mode does. Cross-view safety assumes clock skew
+// between replicas below that margin; within a view the read index makes
+// no timing assumption. It works in either consensus mode. All nodes of a
+// deployment must agree on the setting. See the README read-path section
+// for the soundness argument.
 func WithReadLeases(on bool) Option {
 	return func(o *options) { o.readLeases = on }
 }
@@ -419,22 +411,9 @@ func (o *options) readLinearizable() (bool, error) {
 	}
 }
 
-// WithLeaseTTL bounds a read lease's validity from its grant time (leases
-// renew at a quarter of it; holders stop serving a clock-skew margin of
-// an eighth before expiry). Shorter TTLs tighten the window in which a
-// deposed primary's final leases can linger; longer ones tolerate more
-// clock skew between replicas. The TTL is clamped to a quarter of the
-// request timeout — a lease must never outlive failure detection, and the
-// new primary's 2.5×TTL write fence has to fit inside one detection
-// period — and defaults to that maximum. Only meaningful with
-// WithReadLeases.
-func WithLeaseTTL(d time.Duration) Option {
-	return func(o *options) { o.leaseTTL = d }
-}
-
 // WithObservability enables the node's observability layer: the metrics
 // registry (every stat surface published as Prometheus-style series) and
-// the request-lifecycle tracer, which stamps each sampled request at the
+// the request-lifecycle tracer, which stamps every request at the
 // untrusted compartment boundaries (classify, ecall enqueue, PrePrepare,
 // prepare-certificate, commit, execute, reply — and for leased reads:
 // arrive, read-index, serve). Spans carry protocol identifiers only —
@@ -447,24 +426,11 @@ func WithObservability() Option {
 	return func(o *options) { o.obsOn = true }
 }
 
-// WithTraceSample records every nth request in the lifecycle tracer
-// (1 — the default — traces everything). Sampling bounds tracer overhead
-// under sustained load; metrics are unaffected. Implies WithObservability
-// for n >= 1.
-func WithTraceSample(n int) Option {
-	return func(o *options) {
-		if n >= 1 {
-			o.obsOn = true
-		}
-		o.traceSample = n
-	}
-}
-
 // WithMetricsAddr starts the node's HTTP introspection endpoint on addr
 // at Start, serving /metrics (Prometheus text format), /healthz (JSON;
 // 200 only while every peer answers a connectivity probe, all three
 // compartment enclaves are alive and the durability store has not
-// failed — 503 otherwise) and /debug/trace (recent sampled spans as
+// failed — 503 otherwise) and /debug/trace (recent spans as
 // JSON). ":0" picks a free port — read it back with Node.MetricsAddr.
 // Implies WithObservability.
 func WithMetricsAddr(addr string) Option {

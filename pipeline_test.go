@@ -3,7 +3,6 @@ package splitbft_test
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -78,21 +77,13 @@ func runLedgerScenario(t *testing.T, opts ...splitbft.Option) [][]byte {
 }
 
 // TestPipelineDeterminism is the safety check for the staged pipeline:
-// batched ecalls plus a parallel verification pool must not be able to
-// change any agreed byte. A pipelined run (WithEcallBatch + 8 verify
-// workers) and the paper's fully serialized single-thread configuration
-// replay the same seeded scenario — including a forced view change — and
-// every replica ledger snapshot must be byte-identical across replicas and
-// across the two configurations.
+// batched ecalls must not be able to change any agreed byte. A pipelined
+// run (WithEcallBatch) and the paper's fully serialized single-thread
+// configuration replay the same seeded scenario — including a forced view
+// change — and every replica ledger snapshot must be byte-identical across
+// replicas and across the two configurations.
 func TestPipelineDeterminism(t *testing.T) {
-	// The verify pool clamps to GOMAXPROCS; raise it so the parallel
-	// preprocessing genuinely runs even on single-core CI hosts.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-
-	pipelined := runLedgerScenario(t,
-		splitbft.WithEcallBatch(16),
-		splitbft.WithVerifyWorkers(8),
-	)
+	pipelined := runLedgerScenario(t, splitbft.WithEcallBatch(16))
 	serial := runLedgerScenario(t, splitbft.WithSingleThread())
 
 	for i := 1; i < len(pipelined); i++ {
@@ -101,6 +92,6 @@ func TestPipelineDeterminism(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(pipelined[0], serial[0]) {
-		t.Fatal("pipelined ledger differs from the single-thread ledger: the parallel pipeline changed agreed state")
+		t.Fatal("pipelined ledger differs from the single-thread ledger: batched ecalls changed agreed state")
 	}
 }

@@ -151,14 +151,14 @@ func TestReadLeaseLedgerParity(t *testing.T) {
 // TestReadLeaseExpiryFallback kills every replica's lease source — the
 // primary's Preparation enclave — and verifies reads still answer
 // correctly through the agreement fallback once leases expire. Slow
-// because it must outwait a real lease TTL and a view change.
+// because it must outwait a real lease TTL and a view change. The TTL is
+// 50 ms: a quarter of the 200 ms request timeout, which alone sets it.
 func TestReadLeaseExpiryFallback(t *testing.T) {
 	if testing.Short() {
 		t.Skip("outwaits a lease TTL and a view change")
 	}
 	cluster, err := splitbft.NewCluster(4,
 		splitbft.WithReadLeases(true),
-		splitbft.WithLeaseTTL(400*time.Millisecond),
 		splitbft.WithRequestTimeout(200*time.Millisecond),
 		splitbft.WithBatchSize(1),
 		splitbft.WithNetworkSeed(17),
